@@ -63,6 +63,12 @@ impl Interest {
         readable: true,
         writable: false,
     };
+    /// Write-only interest (a connection that reads nothing until its
+    /// queued output drains).
+    pub const WRITABLE: Interest = Interest {
+        readable: false,
+        writable: true,
+    };
     /// Read + write interest (a connection with queued output).
     pub const BOTH: Interest = Interest {
         readable: true,
@@ -229,9 +235,11 @@ impl EpollPoller {
     }
 
     fn events_for(interest: Interest) -> u32 {
-        let mut ev = sys::EPOLLRDHUP;
+        // A peer's half-close is read interest: reported while only
+        // writing, the level-triggered RDHUP would wake every wait.
+        let mut ev = 0;
         if interest.readable {
-            ev |= sys::EPOLLIN;
+            ev |= sys::EPOLLIN | sys::EPOLLRDHUP;
         }
         if interest.writable {
             ev |= sys::EPOLLOUT;

@@ -4,11 +4,11 @@
 //! registry, the per-server metrics set, the slow-request log, the
 //! shutdown flag, and the request dispatcher. The threaded server
 //! ([`crate::server::FilterServer`]) and the event-driven server
-//! ([`crate::evented::EventedFilterServer`]) are thin transports over
-//! one `Engine` each — they read frames differently, but every payload
-//! funnels through the same crate-private `dispatch`, so the two servers
-//! are response-for-response identical by construction (the e2e suite
-//! asserts this bit-for-bit).
+//! ([`crate::evented::EventedFilterServer`]) are thin socket shells
+//! over one `Engine` each — both run every connection through the same
+//! crate-private `Session`, which frames, dispatches and counts, so the
+//! two servers are response-for-response identical by construction
+//! (the e2e suite asserts this bit-for-bit).
 //!
 //! The registry is a `RwLock<BTreeMap<name, Arc<ServedFilter>>>`.
 //! Request handling clones the `Arc` and releases the registry lock
@@ -35,7 +35,7 @@ use std::time::{Duration, SystemTime};
 use telemetry::expo::{FamilyKind, TextRenderer};
 use telemetry::{StaticCounter, StaticGauge};
 
-/// Requests fully served (response written), across every server in
+/// Requests fully served (response queued), across every server in
 /// the process.
 pub static SERVICE_REQUESTS: StaticCounter = StaticCounter::new(
     "bb_service_requests_total",
@@ -718,12 +718,11 @@ impl Engine {
     }
 
     /// Account one fully-served request: latency histogram, process
-    /// counters, and the slow-request log. Both transports call this
-    /// with the same ordering (after the response is written or
-    /// queued, passing the request guard's trace id — minted on
-    /// demand for slow requests — so the slow-log line and the
-    /// tail-captured trace share an id), which is what keeps their
-    /// STATS deltas identical. Public for the same reason as
+    /// counters, and the slow-request log. The connection session
+    /// both transports run calls this once the response is queued,
+    /// passing the request guard's trace id — minted on demand for
+    /// slow requests — so the slow-log line and the tail-captured
+    /// trace share an id. Public for the same reason as
     /// [`dispatch`]: the E27 bench harness drives the exact per-frame
     /// accounting path in-process, without sockets.
     pub fn record_request(
@@ -1336,7 +1335,7 @@ pub(crate) fn render_metrics(engine: &Engine) -> String {
     );
     r.histogram(
         "bb_server_request_latency_ns",
-        "Server-side request service time (decode to response written).",
+        "Server-side request service time (decode to response queued).",
         &m.request_latency.snapshot(),
     );
 

@@ -14,39 +14,31 @@
 //! inline on the loop thread is *cheaper* than handing off to a pool
 //! for work this small).
 //!
-//! # Pipelining
+//! # Pipelining and parity
 //!
-//! Each connection keeps a rolling inbound buffer. One readiness
-//! drain reads until `WouldBlock`, then dispatches **every** complete
-//! frame in the buffer, appending responses in request order to a
-//! per-connection outbound buffer — many in-flight frames per socket,
-//! responses strictly ordered. Frames are parsed in place
-//! (`&ibuf[start..start+len]` straight into the engine's dispatch) —
-//! no per-frame allocation or copy on the request path.
-//!
-//! # Parity
-//!
-//! Both servers funnel every payload through `engine::dispatch` and
-//! count through the same [`crate::metrics::ServerMetrics`] in the
-//! same order, so for any scripted request sequence the responses and
-//! the deterministic STATS counters are bit-identical across
-//! transports (`tests/service_e2e.rs` asserts exactly this). The
-//! drain contract is also the threaded one: shutdown stops accepting,
-//! finishes writing responses already queued, and closes — buffered
-//! but undispatched frames are dropped, just as the threaded worker
-//! drops frames it has not started reading.
+//! Each connection is a socket plus a `Session`, the sans-IO core
+//! the threaded server runs too. One readiness drain reads until the
+//! socket is empty, then the session serves **every** complete frame
+//! buffered, responses strictly in request order. While the session's
+//! output bound pauses it, the loop watches that socket for write
+//! readiness only: level-triggered readable events would otherwise
+//! fire on every wait. Since framing, dispatch and accounting all
+//! happen in the session, responses and deterministic STATS counters
+//! are bit-identical across transports (`tests/service_e2e.rs`
+//! asserts it), and so is the drain contract: shutdown stops
+//! accepting, writes the responses already queued, and closes.
 //!
 //! # Safety
 //!
 //! This module is pure safe code (`service` forbids unsafe); all fd
 //! handling lives behind `eventloop`'s audited syscall island. The
-//! loop tolerates spurious readiness by construction — every read and
-//! write runs until `WouldBlock` — which is exactly the contract the
-//! scan-fallback poller needs, and why `BEYOND_BLOOM_FORCE_POLL=1`
-//! runs the full e2e suite unchanged.
+//! loop tolerates spurious readiness by construction — a read or
+//! write that would block just ends the drain — which is exactly the
+//! contract the scan-fallback poller needs, and why
+//! `BEYOND_BLOOM_FORCE_POLL=1` runs the full e2e suite unchanged.
 
-use crate::engine::{dispatch, render_metrics, Engine, ServerConfig};
-use crate::proto::{ErrorCode, Response, FLAG_TRACE};
+use crate::engine::{render_metrics, Engine, ServerConfig};
+use crate::session::{Session, READ_CHUNK};
 use eventloop::{net, os_fd, BackendKind, Event, Interest, Poller, Token};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -54,34 +46,16 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
-use telemetry::trace::TraceContext;
 
 /// Token 0 is the listener; connection n lives at token n + 1.
 const LISTENER: Token = Token(0);
 
-/// Per-connection state: the socket plus rolling I/O buffers.
+/// Per-connection state: the socket, what the poller watches it for,
+/// and the protocol session.
 struct Conn {
     stream: TcpStream,
-    /// Peer address, cached at accept for the slow-request log.
-    peer: Option<SocketAddr>,
-    /// Inbound bytes not yet parsed into frames. `start` is the parse
-    /// cursor; `ibuf[start..]` is unconsumed.
-    ibuf: Vec<u8>,
-    start: usize,
-    /// Responses serialized and not yet fully written. `osent` is the
-    /// flushed prefix.
-    obuf: Vec<u8>,
-    osent: usize,
-    /// Whether the poller currently watches this fd for writability.
-    want_write: bool,
-    /// Close once `obuf` drains (protocol error or peer EOF).
-    close_after_flush: bool,
-    /// Peer sent EOF on a clean frame boundary.
-    peer_closed: bool,
-    /// Last time a complete frame arrived (idle-deadline clock — the
-    /// same "frames, not bytes" progress rule as the threaded server).
-    last_frame: Instant,
+    interest: Interest,
+    session: Session,
 }
 
 /// An event-driven [`FilterServer`](crate::server::FilterServer)
@@ -161,13 +135,13 @@ impl EventedFilterServer {
     }
 }
 
-/// How much to read per `read()` call while draining a socket.
-const READ_CHUNK: usize = 64 * 1024;
-
 fn event_loop(engine: &Engine, listener: TcpListener, mut poller: Poller) {
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut free: VecDeque<usize> = VecDeque::new();
     let mut events: Vec<Event> = Vec::new();
+    // One read buffer for the whole loop: zeroing 64 KiB on every
+    // readable event costs more than dispatching a small request.
+    let mut chunk = vec![0u8; READ_CHUNK];
     if poller
         .register(os_fd(&listener), LISTENER, Interest::READABLE)
         .is_err()
@@ -188,33 +162,25 @@ fn event_loop(engine: &Engine, listener: TcpListener, mut poller: Poller) {
             } else {
                 let idx = ev.token.0 - 1;
                 // A slot freed earlier in this same batch can leave a
-                // stale event behind; with level-triggered readiness
-                // and drain-until-WouldBlock, skipping or spuriously
-                // servicing a reused slot are both harmless.
-                let mut closed = false;
-                if let Some(Some(conn)) = conns.get_mut(idx) {
-                    if ev.readable || ev.hangup {
-                        closed = conn_readable(engine, conn);
-                    }
-                    if !closed && (ev.writable || !conn.obuf.is_empty()) {
-                        closed = conn_flush(conn, &mut poller, ev.token);
-                    }
-                }
+                // stale event behind; with level-triggered readiness,
+                // skipping or spuriously servicing a reused slot are
+                // both harmless.
+                let closed = match conns.get_mut(idx) {
+                    Some(Some(conn)) => conn_ready(engine, conn, &mut poller, ev, &mut chunk),
+                    _ => false,
+                };
                 if closed {
                     close_conn(engine, &mut poller, &mut conns, &mut free, idx);
                 }
             }
         }
-        // Idle sweep: close connections that have gone too long
-        // without completing a frame. Dribbled bytes don't reset the
-        // clock — only whole frames do (slow-loris backstop).
-        if let Some(idle) = engine.config.idle_timeout {
+        // Idle sweep: close connections past the idle deadline.
+        if engine.config.idle_timeout.is_some() {
             for idx in 0..conns.len() {
-                let expired = match &conns[idx] {
-                    Some(c) => c.last_frame.elapsed() >= idle,
-                    None => false,
-                };
-                if expired {
+                if conns[idx]
+                    .as_ref()
+                    .is_some_and(|c| c.session.expired(engine))
+                {
                     close_conn(engine, &mut poller, &mut conns, &mut free, idx);
                 }
             }
@@ -225,16 +191,14 @@ fn event_loop(engine: &Engine, listener: TcpListener, mut poller: Poller) {
     poller.deregister(os_fd(&listener), LISTENER).ok();
     for idx in 0..conns.len() {
         if let Some(conn) = &mut conns[idx] {
-            if conn.osent < conn.obuf.len() {
+            if !conn.session.output().is_empty() {
                 // Bounded blocking flush (bytes/counters were already
                 // accounted at queue time).
                 let _ = conn.stream.set_nonblocking(false);
                 let _ = conn
                     .stream
                     .set_write_timeout(Some(tick.max(std::time::Duration::from_millis(100))));
-                let pending = std::mem::take(&mut conn.obuf);
-                let _ = conn.stream.write_all(&pending[conn.osent..]);
-                conn.osent = 0;
+                let _ = conn.stream.write_all(conn.session.output());
             }
         }
         if conns[idx].is_some() {
@@ -278,18 +242,11 @@ fn accept_ready(
                 }
                 engine.metrics.connections_opened.inc();
                 engine.metrics.open_connections.add(1);
-                let peer = stream.peer_addr().ok();
+                let session = Session::new(stream.peer_addr().ok());
                 conns[idx] = Some(Conn {
                     stream,
-                    peer,
-                    ibuf: Vec::new(),
-                    start: 0,
-                    obuf: Vec::new(),
-                    osent: 0,
-                    want_write: false,
-                    close_after_flush: false,
-                    peer_closed: false,
-                    last_frame: Instant::now(),
+                    interest: Interest::READABLE,
+                    session,
                 });
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
@@ -302,186 +259,46 @@ fn accept_ready(
     }
 }
 
-/// Drain the socket, dispatch every complete frame, queue responses.
-/// Returns `true` when the connection should be closed immediately.
-fn conn_readable(engine: &Engine, conn: &mut Conn) -> bool {
-    let m = &engine.metrics;
-    let mut chunk = [0u8; READ_CHUNK];
-    loop {
-        match conn.stream.read(&mut chunk) {
-            Ok(0) => {
-                conn.peer_closed = true;
-                break;
+/// Serve one readiness event: read while the session wants input,
+/// let it serve and write, then watch the socket for what the session
+/// waits on. Returns `true` when the connection should close now.
+fn conn_ready(
+    engine: &Engine,
+    conn: &mut Conn,
+    poller: &mut Poller,
+    ev: &Event,
+    chunk: &mut [u8],
+) -> bool {
+    if ev.readable {
+        while conn.session.wants_input(engine) {
+            match conn.stream.read(chunk) {
+                Ok(n) => {
+                    conn.session.feed(&chunk[..n]);
+                    // A short read emptied the socket: skip the read
+                    // that would return `WouldBlock`. Level-triggered
+                    // readiness reports any bytes that arrive later.
+                    if n < chunk.len() {
+                        break;
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return true,
             }
-            Ok(n) => conn.ibuf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return true,
         }
     }
-
-    // Dispatch every complete frame in arrival order; this count is
-    // the pipelining depth of the drain.
-    let mut depth: i64 = 0;
-    while !conn.close_after_flush {
-        let avail = conn.ibuf.len() - conn.start;
-        if avail < 4 {
-            break;
-        }
-        let word = u32::from_le_bytes(
-            conn.ibuf[conn.start..conn.start + 4]
-                .try_into()
-                .expect("4-byte slice"),
-        );
-        // The trace flag is masked off before the size check, exactly
-        // as `FrameReader` does: a traced frame must not look
-        // oversized, and an untraced oversized frame must not look
-        // traced.
-        let traced = word & FLAG_TRACE != 0;
-        let len = word & !FLAG_TRACE;
-        if len > engine.config.max_frame {
-            // Same contract as the threaded path: answer with the
-            // reason, then close — the unread body defeats resync.
-            m.protocol_errors.inc();
-            queue_response(
-                engine,
-                conn,
-                &Response::Error {
-                    code: ErrorCode::BadFrame,
-                    message: format!(
-                        "frame length {len} exceeds limit {}",
-                        engine.config.max_frame
-                    ),
-                },
-            );
-            conn.close_after_flush = true;
-            break;
-        }
-        if traced && (len as usize) < TraceContext::WIRE_LEN {
-            m.protocol_errors.inc();
-            queue_response(
-                engine,
-                conn,
-                &Response::Error {
-                    code: ErrorCode::BadFrame,
-                    message: "traced frame shorter than its trace context".into(),
-                },
-            );
-            conn.close_after_flush = true;
-            break;
-        }
-        if avail < 4 + len as usize {
-            break; // partial frame: wait for more bytes
-        }
-        let frame_end = conn.start + 4 + len as usize;
-        // Strip the trace context off the front of the counted body;
-        // bytes_in counts the post-strip payload, keeping the
-        // deterministic counters identical to the threaded transport.
-        let ctx = if traced {
-            TraceContext::decode(&conn.ibuf[conn.start + 4..frame_end])
-        } else {
-            None
-        };
-        let payload_start = conn.start + 4 + if traced { TraceContext::WIRE_LEN } else { 0 };
-        m.frames_received.inc();
-        m.bytes_in.add((frame_end - payload_start) as u64);
-        let t0 = Instant::now();
-        let req_trace = telemetry::trace::begin("server:request", ctx);
-        // In-place dispatch: the payload slice borrows the inbound
-        // buffer directly.
-        let (resp, info) = dispatch(engine, &conn.ibuf[payload_start..frame_end]);
-        let error = matches!(resp, Response::Error { .. });
-        queue_response(engine, conn, &resp);
-        let dt = t0.elapsed();
-        let slow = dt >= engine.config.slow_request_threshold;
-        // Only a slow request reads (and, for an unsampled one,
-        // mints) its trace id — the fast path stays free of id work.
-        engine.record_request(
-            dt,
-            info,
-            conn.peer,
-            if slow { req_trace.trace_id() } else { 0 },
-        );
-        req_trace.finish_timed(dt, slow, error);
-        conn.start = frame_end;
-        conn.last_frame = Instant::now();
-        depth += 1;
-        if engine.stopping() {
-            // Drain contract: finish nothing more once stopping; the
-            // shutdown path flushes what is already queued.
-            break;
-        }
+    let session = &mut conn.session;
+    if session.drive(engine, |out| conn.stream.write(out)).is_err() || session.finished() {
+        return true;
     }
-    if depth > 0 {
-        m.raise_pipelined_depth(depth);
-    }
-
-    // Compact the consumed prefix so the buffer doesn't grow without
-    // bound across drains.
-    if conn.start == conn.ibuf.len() {
-        conn.ibuf.clear();
-        conn.start = 0;
-    } else if conn.start > 4096 {
-        conn.ibuf.drain(..conn.start);
-        conn.start = 0;
-    }
-
-    if conn.peer_closed {
-        if conn.ibuf.len() - conn.start > 0 && !conn.close_after_flush {
-            // EOF with a partial frame buffered: the peer vanished
-            // mid-frame.
-            m.disconnects_mid_frame.inc();
-            return true;
-        }
-        // Clean boundary: deliver queued responses, then close.
-        conn.close_after_flush = true;
-    }
-    false
-}
-
-/// Serialize a response into the connection's outbound buffer,
-/// counting exactly as the threaded `write_response` does (queueing
-/// into the kernel-bound buffer is this transport's "written").
-fn queue_response(engine: &Engine, conn: &mut Conn, resp: &Response) {
-    let m = &engine.metrics;
-    if matches!(resp, Response::Error { .. }) {
-        m.error_responses.inc();
-    }
-    let bytes = resp.encode();
-    conn.obuf
-        .extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-    conn.obuf.extend_from_slice(&bytes);
-    m.responses_sent.inc();
-    m.bytes_out.add(bytes.len() as u64);
-}
-
-/// Write pending output until done or `WouldBlock`, managing the
-/// writable-interest registration. Returns `true` when the connection
-/// should close (flush finished after a close was requested, or the
-/// write errored).
-fn conn_flush(conn: &mut Conn, poller: &mut Poller, token: Token) -> bool {
-    while conn.osent < conn.obuf.len() {
-        match conn.stream.write(&conn.obuf[conn.osent..]) {
-            Ok(0) => return true,
-            Ok(n) => conn.osent += n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return true,
-        }
-    }
-    if conn.osent == conn.obuf.len() {
-        conn.obuf.clear();
-        conn.osent = 0;
-        if conn.want_write {
-            conn.want_write = false;
-            let _ = poller.modify(os_fd(&conn.stream), token, Interest::READABLE);
-        }
-        return conn.close_after_flush;
-    }
-    // Output still pending: make sure the poller wakes us to finish.
-    if !conn.want_write {
-        conn.want_write = true;
-        let _ = poller.modify(os_fd(&conn.stream), token, Interest::BOTH);
+    let want = match (session.wants_input(engine), session.output().is_empty()) {
+        (true, true) => Interest::READABLE,
+        (true, false) => Interest::BOTH,
+        (false, _) => Interest::WRITABLE,
+    };
+    if want != conn.interest {
+        conn.interest = want;
+        let _ = poller.modify(os_fd(&conn.stream), ev.token, want);
     }
     false
 }
@@ -506,7 +323,7 @@ fn close_conn(
 mod tests {
     use super::*;
     use crate::client::FilterClient;
-    use crate::proto::{Backend, FrameEvent, FrameReader};
+    use crate::proto::{Backend, ErrorCode, FrameEvent, FrameReader, Response};
     use std::time::Duration;
 
     fn quick_config() -> ServerConfig {

@@ -33,6 +33,8 @@
 //!
 //! Module map: [`proto`] (framing + request/response codec),
 //! [`engine`] (registry + dispatch core shared by both transports),
+//! `session` (the sans-IO connection core both transports run:
+//! framing, the per-request path, idle and output bounds),
 //! [`server`] (threaded transport: worker pool, graceful shutdown),
 //! [`evented`] (readiness-loop transport: epoll, pipelining),
 //! [`cluster`] (consistent-hash routing + snapshot migration),
@@ -49,6 +51,7 @@ pub mod evented;
 pub mod metrics;
 pub mod proto;
 pub mod server;
+mod session;
 
 pub use client::{ClientError, FilterClient};
 pub use cluster::{ClusterClient, ClusterError, HashRing, MigrationReport};

@@ -82,13 +82,11 @@ pub struct ServerMetrics {
     pub accept_errors: Counter,
     /// Connections currently open (accepted and not yet torn down).
     pub open_connections: Gauge,
-    /// High-watermark of complete frames dispatched from one
-    /// connection in a single readiness drain — the observed
-    /// pipelining depth. The threaded server reads one frame per
-    /// blocking read loop, so its watermark is pinned at 1; the
-    /// evented server reports how deep clients actually pipeline.
+    /// High-watermark of complete frames served from one connection
+    /// in a single drain of its buffered input — the observed
+    /// pipelining depth, on either transport.
     pub pipelined_depth: Gauge,
-    /// Server-side request service time (decode → response written).
+    /// Server-side request service time (decode → response queued).
     pub request_latency: LatencyHistogram,
 }
 

@@ -768,6 +768,29 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
+/// Decode a frame's length word: the counted body length (trace
+/// context included) and whether the frame is traced. The flag is
+/// masked off before the `max_frame` check, so a traced frame does not
+/// look oversized and an untraced oversized one does not look traced.
+pub(crate) fn decode_frame_header(
+    head: [u8; 4],
+    max_frame: u32,
+) -> Result<(usize, bool), FrameError> {
+    let word = u32::from_le_bytes(head);
+    let traced = word & FLAG_TRACE != 0;
+    let len = word & !FLAG_TRACE;
+    if len > max_frame {
+        return Err(FrameError::Oversized(len));
+    }
+    if traced && (len as usize) < TraceContext::WIRE_LEN {
+        return Err(FrameError::Io(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "traced frame shorter than its trace context",
+        )));
+    }
+    Ok((len as usize, traced))
+}
+
 enum ReadState {
     Head,
     Body,
@@ -822,25 +845,12 @@ impl<R: Read> FrameReader<R> {
                             Err(e) => return Err(classify(e)),
                         }
                     }
-                    let word = u32::from_le_bytes(self.head);
-                    self.traced = word & FLAG_TRACE != 0;
-                    let len = word & !FLAG_TRACE;
-                    if len > self.max_frame {
-                        // Reset so the caller could in principle keep
-                        // going, though the server closes here: the
-                        // unread body makes resync impossible.
-                        self.got = 0;
-                        return Err(FrameError::Oversized(len));
-                    }
-                    if self.traced && (len as usize) < TraceContext::WIRE_LEN {
-                        self.got = 0;
-                        return Err(FrameError::Io(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            "traced frame shorter than its trace context",
-                        )));
-                    }
-                    self.body = vec![0; len as usize];
+                    // Reset before a refused header returns; the
+                    // unread body makes resync impossible anyway.
                     self.got = 0;
+                    let (len, traced) = decode_frame_header(self.head, self.max_frame)?;
+                    self.traced = traced;
+                    self.body = vec![0; len];
                     self.state = ReadState::Body;
                 }
                 ReadState::Body => {

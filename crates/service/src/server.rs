@@ -5,22 +5,21 @@
 //!
 //! One *accept* thread pulls connections off the listener and feeds a
 //! bounded queue (`mpsc::sync_channel`); a fixed pool of *worker*
-//! threads pulls from that queue and serves one connection at a time,
-//! request-per-frame (thread-per-connection semantics over a bounded
-//! pool — the classic shape for a filter sidecar where connections are
-//! few and long-lived). There is no async runtime: the container
+//! threads pulls from that queue and serves one connection at a time
+//! (thread-per-connection semantics over a bounded pool — the classic
+//! shape for a filter sidecar where connections are few and
+//! long-lived). There is no async runtime: the container
 //! builds offline and the paper's measurements concern filter
 //! throughput, not connection scaling. For connection scaling, see
 //! [`crate::evented::EventedFilterServer`], which serves the same
 //! engine from a readiness loop.
 //!
-//! Workers read with a short socket timeout. [`crate::proto::FrameReader`]
-//! retains partial progress across timeouts, so the timeout is purely
-//! a tick on which the worker polls the shutdown flag — it never
-//! corrupts the stream position of a slow writer. When
-//! [`ServerConfig::idle_timeout`] is set, those ticks also feed an
-//! idle deadline: a connection that goes too long without completing
-//! a frame is closed (the slow-loris backstop).
+//! Each worker runs its connection through the `Session` the evented
+//! server runs too, feeding it whatever bytes arrived and writing its
+//! answers with a blocking write (this transport's backpressure). After
+//! every read or read timeout the worker checks the shutdown flag and
+//! the [`ServerConfig::idle_timeout`] deadline, so a peer dribbling
+//! bytes without completing a frame is still closed.
 //!
 //! # Shutdown
 //!
@@ -31,15 +30,14 @@
 //! "drain in-flight, refuse new" contract, and the evented server
 //! implements the same one.
 
-use crate::engine::{dispatch, render_metrics, Engine};
-use crate::proto::{write_frame, ErrorCode, FrameError, FrameEvent, FrameReader, Response};
-use std::io;
+use crate::engine::{render_metrics, Engine};
+use crate::session::{Session, READ_CHUNK};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 pub use crate::engine::{
     build_atomic_bloom, build_compacting, build_sharded_cqf, build_sharded_cuckoo,
@@ -195,117 +193,42 @@ fn worker_loop(engine: &Engine, rx: &Mutex<Receiver<TcpStream>>) {
     }
 }
 
-/// Serve one connection to completion: frame in, response out, until
+/// Serve one connection to completion: bytes in, answers out, until
 /// the peer closes, errors, idles past the deadline, or the server
 /// drains for shutdown.
-fn serve_connection(engine: &Engine, mut stream: TcpStream) {
-    let m = &engine.metrics;
+fn serve_connection(engine: &Engine, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(engine.config.read_timeout));
-    let peer = stream.peer_addr().ok();
-    let read_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let mut frames = FrameReader::new(read_half, engine.config.max_frame);
-    // The idle clock restarts on every *completed* frame, so a peer
-    // dribbling one byte per read timeout still hits the deadline
-    // unless its frames actually finish (slow-loris hardening).
-    let mut last_frame = Instant::now();
+    let mut session = Session::new(stream.peer_addr().ok());
+    let mut chunk = vec![0u8; READ_CHUNK];
     loop {
-        match frames.read_frame() {
-            Ok(FrameEvent::Frame(payload, ctx)) => {
-                last_frame = Instant::now();
-                m.frames_received.inc();
-                m.bytes_in.add(payload.len() as u64);
-                let t0 = Instant::now();
-                let req_trace = telemetry::trace::begin("server:request", ctx);
-                let (resp, info) = dispatch(engine, &payload);
-                let error = matches!(resp, Response::Error { .. });
-                if !write_response(engine, &mut stream, &resp) {
-                    req_trace.finish(false, true);
-                    break;
-                }
-                // One frame per blocking read loop: the threaded
-                // server's pipelining depth is 1 by construction.
-                m.raise_pipelined_depth(1);
-                let dt = t0.elapsed();
-                let slow = dt >= engine.config.slow_request_threshold;
-                // Only a slow request reads (and, for an unsampled
-                // one, mints) its trace id — the fast path stays free
-                // of id work.
-                engine.record_request(dt, info, peer, if slow { req_trace.trace_id() } else { 0 });
-                req_trace.finish_timed(dt, slow, error);
-                if engine.stopping() {
-                    break; // in-flight request drained; refuse further
-                }
-            }
-            Ok(FrameEvent::Closed) => break,
-            Err(FrameError::Timeout) => {
-                if engine.stopping() {
-                    break;
-                }
-                if let Some(idle) = engine.config.idle_timeout {
-                    if last_frame.elapsed() >= idle {
-                        break;
-                    }
-                }
-            }
-            Err(FrameError::Oversized(n)) => {
-                // The unread body makes stream resync impossible:
-                // answer with the reason, then close.
-                m.protocol_errors.inc();
-                let resp = Response::Error {
-                    code: ErrorCode::BadFrame,
-                    message: format!("frame length {n} exceeds limit {}", engine.config.max_frame),
-                };
-                write_response(engine, &mut stream, &resp);
-                break;
-            }
-            Err(FrameError::Disconnected) => {
-                m.disconnects_mid_frame.inc();
-                break;
-            }
-            Err(FrameError::Io(e)) => {
-                // InvalidData is the reader refusing a traced frame
-                // shorter than its context: answer with the reason,
-                // then close (same contract as the evented path).
-                if e.kind() == io::ErrorKind::InvalidData {
-                    m.protocol_errors.inc();
-                    let resp = Response::Error {
-                        code: ErrorCode::BadFrame,
-                        message: "traced frame shorter than its trace context".into(),
-                    };
-                    write_response(engine, &mut stream, &resp);
-                }
-                break;
-            }
+        // The blocking write is this transport's backpressure.
+        if session.drive(engine, |out| (&stream).write(out)).is_err()
+            || session.finished()
+            || engine.stopping()
+            || session.expired(engine)
+        {
+            return;
+        }
+        match (&stream).read(&mut chunk) {
+            Ok(n) => session.feed(&chunk[..n]),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock
+                        | io::ErrorKind::TimedOut
+                        | io::ErrorKind::Interrupted
+                ) => {}
+            Err(_) => return,
         }
     }
-}
-
-fn write_response(engine: &Engine, stream: &mut TcpStream, resp: &Response) -> bool {
-    let m = &engine.metrics;
-    if matches!(resp, Response::Error { .. }) {
-        m.error_responses.inc();
-    }
-    let bytes = resp.encode();
-    // Counted at commit time, BEFORE the write syscall — the same
-    // instant the evented transport counts (when the response enters
-    // its outbound buffer). Counting after the write would let a peer
-    // read its answer and observe a STATS snapshot in which that
-    // answer is not yet counted; commit-time counting keeps the two
-    // transports' deterministic counters bit-identical.
-    m.responses_sent.inc();
-    m.bytes_out.add(bytes.len() as u64);
-    write_frame(stream, &bytes).is_ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::FilterClient;
-    use crate::proto::Backend;
+    use crate::proto::{Backend, ErrorCode};
     use std::time::Duration;
 
     fn quick_config() -> ServerConfig {

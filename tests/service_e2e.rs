@@ -761,7 +761,8 @@ fn metrics_exposition_is_valid_and_spans_layers() {
 // adversarial sequence, run verbatim against both transports, must
 // produce byte-identical response frames and identical deltas for
 // every deterministic counter. Parity is by construction (both
-// transports funnel through `engine::dispatch`); this test pins it.
+// transports run each connection through one sans-IO session); this
+// test pins it.
 // ===============================================================
 
 /// A raw frame-level connection: lets the script control exactly
@@ -875,9 +876,9 @@ fn equivalence_script(addr: SocketAddr) -> (Vec<Vec<u8>>, [u64; 8]) {
     }
 
     // Pipelined burst: 24 INSERT frames written back-to-back before
-    // any response is read. The threaded transport serves them
-    // sequentially; the evented transport drains them as pipelined
-    // work. In-order responses are part of the wire contract.
+    // any response is read. Both transports drain them as pipelined
+    // work, as many frames per drain as have arrived. In-order
+    // responses are part of the wire contract.
     let mut burst = Vec::new();
     for name in ["eq-b", "eq-c", "eq-q", "eq-r", "eq-t", "eq-l"] {
         for chunk in keys.chunks(1_000) {
@@ -1115,6 +1116,48 @@ fn idle_deadline_evicts_stalled_connections_on_both_transports() {
         // The server is still accepting and serving after eviction.
         let mut fresh = FilterClient::connect(addr).unwrap();
         assert!(fresh.stats().is_ok());
+    }
+    threaded.shutdown();
+    evented.shutdown();
+
+    // A peer that announces a 100,000-byte frame and dribbles one byte
+    // every 2 ms: no read ever times out, yet no frame completes
+    // before the deadline, so both transports must still evict it.
+    let config = || ServerConfig {
+        workers: 2,
+        read_timeout: Duration::from_millis(20),
+        idle_timeout: Some(Duration::from_millis(100)),
+        ..ServerConfig::default()
+    };
+    let threaded = FilterServer::bind("127.0.0.1:0", config()).expect("bind threaded");
+    let evented = EventedFilterServer::bind("127.0.0.1:0", config()).expect("bind evented");
+    for addr in [threaded.local_addr(), evented.local_addr()] {
+        let mut dribbler = TcpStream::connect(addr).unwrap();
+        dribbler.write_all(&100_000u32.to_le_bytes()).unwrap();
+        dribbler
+            .set_read_timeout(Some(Duration::from_millis(2)))
+            .unwrap();
+        let t0 = Instant::now();
+        let mut byte = [0u8; 1];
+        loop {
+            assert!(
+                t0.elapsed() < Duration::from_secs(3),
+                "a dribbling peer held the connection past the idle deadline"
+            );
+            if dribbler.write_all(&[0x5a]).is_err() {
+                break;
+            }
+            match dribbler.read(&mut byte) {
+                Ok(0) => break,
+                Ok(n) => panic!("server answered {n} bytes to an incomplete frame"),
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ) => {}
+                Err(_) => break,
+            }
+        }
     }
     threaded.shutdown();
     evented.shutdown();
