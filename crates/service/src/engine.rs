@@ -1339,43 +1339,6 @@ pub(crate) fn render_metrics(engine: &Engine) -> String {
         &m.request_latency.snapshot(),
     );
 
-    // In live builds the Bloofi shape gauges render from the
-    // telemetry registry (the bloofi crate registers them eagerly).
-    // With telemetry compiled out the index still serves
-    // MULTI_CONTAINS, so render its shape straight from the engine's
-    // tree — the exposition keeps the same families in both modes.
-    if telemetry::compiled_out() {
-        let idx = read_lock(&engine.index);
-        r.gauge(
-            "bb_bloofi_depth",
-            "Height of the Bloofi index tree (interior levels above leaves).",
-            i64::from(idx.depth()),
-        );
-        r.gauge(
-            "bb_bloofi_nodes",
-            "Live nodes (leaves + interiors) in the Bloofi index tree.",
-            idx.node_count() as i64,
-        );
-        r.gauge(
-            "bb_simd_level",
-            "Active SIMD dispatch tier (1=swar, 2=sse2, 3=avx2, 4=avx512, 5=neon).",
-            i64::from(filter_core::simd::active_level().code()),
-        );
-        // No trace store exists in this build, so its drop counters
-        // are structurally zero — rendered anyway so scrape
-        // dashboards see the same families in both modes.
-        r.counter(
-            "bb_traces_dropped_total",
-            "Promoted traces evicted from the bounded trace store before being fetched.",
-            0,
-        );
-        r.counter(
-            "bb_trace_spans_dropped_total",
-            "Spans dropped by per-request buffer or orphan-pool bounds.",
-            0,
-        );
-    }
-
     // Inventory: one labelled series per registered filter, plus
     // per-shard op counts for the sharded backends.
     r.header(

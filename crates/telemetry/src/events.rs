@@ -1,4 +1,4 @@
-//! Structured event vocabulary shared by both build modes.
+//! Structured event vocabulary of the event ring.
 
 /// What happened. Each variant carries two `u64` payload slots (`a`,
 /// `b`) whose meaning is variant-specific and documented here.
@@ -25,9 +25,6 @@ pub enum EventKind {
     /// A shard mutex was recovered after its holder panicked
     /// (`a` = shard index, `b` = 0).
     ShardPoisonRecovered = 6,
-    /// A service request exceeded the slow-request threshold
-    /// (`a` = latency ns, `b` = packed opcode/backend/batch context).
-    SlowRequest = 7,
     /// A compacting filter sealed its memtable front for background
     /// compaction (`a` = keys sealed, `b` = epoch).
     TierSealed = 8,
@@ -46,7 +43,6 @@ impl EventKind {
             4 => EventKind::CuckooInsertFailed,
             5 => EventKind::CqfClusterSpill,
             6 => EventKind::ShardPoisonRecovered,
-            7 => EventKind::SlowRequest,
             8 => EventKind::TierSealed,
             9 => EventKind::TierCompacted,
             _ => EventKind::Other,
@@ -63,7 +59,6 @@ impl EventKind {
             EventKind::CuckooInsertFailed => "cuckoo-insert-failed",
             EventKind::CqfClusterSpill => "cqf-cluster-spill",
             EventKind::ShardPoisonRecovered => "shard-poison-recovered",
-            EventKind::SlowRequest => "slow-request",
             EventKind::TierSealed => "tier-sealed",
             EventKind::TierCompacted => "tier-compacted",
         }

@@ -1,4 +1,5 @@
-//! The real instrumentation layer (compiled unless `telemetry-off`).
+//! The instrumentation layer: static handles, the event ring, span
+//! timers, and the runtime kill switch that gates all three.
 //!
 //! Static handles wrap an instance value with a name and a
 //! `Once`-guarded lazy registration into the process-wide registry, so
@@ -16,11 +17,6 @@ use std::time::{Duration, Instant};
 /// Runtime kill switch. Static-handle updates, event emission, and
 /// span timers check this; instance values do not.
 static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Whether instrumentation was compiled out (`telemetry-off`).
-pub const fn compiled_out() -> bool {
-    false
-}
 
 /// Flip the runtime kill switch (the E22 overhead experiment measures
 /// on-vs-off within one binary). On by default.

@@ -595,23 +595,20 @@ fn metrics_exposition_is_valid_and_spans_layers() {
         expo.family_count(),
         expo.family_names().collect::<Vec<_>>().join("\n")
     );
-    let compiled_out = beyond_bloom::telemetry::compiled_out();
-    if !compiled_out {
-        // Filter-layer families (registered eagerly at bind).
-        for fam in [
-            "bb_bloom_scalable_expansions_total",      // bloom
-            "bb_cuckoo_kick_chain_length",             // cuckoo
-            "bb_cqf_cluster_length",                   // quotient
-            "bb_sharded_lock_poison_recoveries_total", // concurrent
-            "bb_service_requests_total",               // service
-        ] {
-            assert!(expo.has_family(fam), "missing family {fam}:\n{text}");
-        }
-        assert!(expo.value("bb_service_requests_total").unwrap() > 0.0);
-        // The sharded inserts exercised per-shard op accounting.
-        assert!(expo.labeled_sum("bb_filter_shard_ops_total", "mx-cuckoo") > 0.0);
+    // Filter-layer families (registered eagerly at bind).
+    for fam in [
+        "bb_bloom_scalable_expansions_total",      // bloom
+        "bb_cuckoo_kick_chain_length",             // cuckoo
+        "bb_cqf_cluster_length",                   // quotient
+        "bb_sharded_lock_poison_recoveries_total", // concurrent
+        "bb_service_requests_total",               // service
+    ] {
+        assert!(expo.has_family(fam), "missing family {fam}:\n{text}");
     }
-    // Server families render regardless of build mode.
+    assert!(expo.value("bb_service_requests_total").unwrap() > 0.0);
+    // The sharded inserts exercised per-shard op accounting.
+    assert!(expo.labeled_sum("bb_filter_shard_ops_total", "mx-cuckoo") > 0.0);
+    // Server families.
     for fam in [
         "bb_server_frames_received_total",
         "bb_server_keys_processed_total",
@@ -650,7 +647,7 @@ fn metrics_exposition_is_valid_and_spans_layers() {
     assert!(expo.labeled_sum("bb_filter_keys", "mx-cqf") >= 4_950.0);
     // Zero threshold: every request is slow, so the slow counter
     // moved and the log rendered entries (the slow log is engine
-    // state, not telemetry, so it works in every build mode).
+    // state, not telemetry, so the kill switch does not silence it).
     let stats = c.stats().unwrap();
     assert!(stats.counters.slow_requests > 0);
     assert!(
@@ -693,12 +690,10 @@ fn metrics_exposition_is_valid_and_spans_layers() {
         expo.value("bb_slow_log_dropped").unwrap() > 0.0,
         "slow log wrapped >300 entries past its 256 cap:\n{text}"
     );
-    if !compiled_out {
-        assert!(
-            expo.value("bb_events_dropped").unwrap() > 0.0,
-            "event ring wrapped after 1100 emits into 1024 slots"
-        );
-    }
+    assert!(
+        expo.value("bb_events_dropped").unwrap() > 0.0,
+        "event ring wrapped after 1100 emits into 1024 slots"
+    );
     drop(c);
     server.shutdown();
 
@@ -1342,9 +1337,6 @@ fn check_chrome_json(json_text: &str, trace_id: u64, expect_flow: bool) {
 
 #[test]
 fn trace_route_assembles_one_cross_process_trace() {
-    if beyond_bloom::telemetry::compiled_out() {
-        return; // tracing compiles out with telemetry-off
-    }
     let config = || ServerConfig {
         workers: 2,
         read_timeout: Duration::from_millis(10),
